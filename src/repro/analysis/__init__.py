@@ -8,12 +8,8 @@ here so analysis scripts have one import surface.  The sweep observatory
 CLI — run ``python -m repro.analysis.serve --help``.
 """
 
-from .bench_compare import (
-    compare_bench_entries,
-    compare_bench_files,
-    format_comparison,
-    regressions,
-)
+import importlib
+
 from .metrics import (
     cycles_per_operation,
     degradation,
@@ -29,12 +25,22 @@ from ..obs.timeline import longest_spans, render_timeline
 from .sweep import best_point, expand_grid, run_sweep, sweep_table
 
 
+#: Names re-exported lazily: ``python -m repro.analysis.serve`` and
+#: ``python -m repro.analysis.bench_compare`` must not find their module
+#: pre-imported (runpy would warn and execute a second copy).
+_LAZY = {
+    "DashboardData": "serve",
+    "compare_bench_entries": "bench_compare",
+    "compare_bench_files": "bench_compare",
+    "format_comparison": "bench_compare",
+    "regressions": "bench_compare",
+}
+
+
 def __getattr__(name):
-    # Lazy: ``python -m repro.analysis.serve`` must not find the module
-    # pre-imported (runpy would warn and execute a second copy).
-    if name == "DashboardData":
-        from .serve import DashboardData
-        return DashboardData
+    if name in _LAZY:
+        module = importlib.import_module(f".{_LAZY[name]}", __name__)
+        return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [

@@ -13,6 +13,11 @@ values when the saturation behaviour matches the spec.
 
 from __future__ import annotations
 
+import sys
+from array import array
+from itertools import accumulate
+from typing import Iterable, List, Sequence
+
 MIN_WORD = -32768
 MAX_WORD = 32767
 MIN_LONGWORD = -(1 << 31)
@@ -26,6 +31,12 @@ def saturate(value: int) -> int:
     if value < MIN_WORD:
         return MIN_WORD
     return value
+
+
+def saturate_each(values: Iterable[int]) -> List[int]:
+    """:func:`saturate` applied to every value of a sequence."""
+    return [MAX_WORD if value > MAX_WORD else MIN_WORD if value < MIN_WORD else value
+            for value in values]
 
 
 def saturate_long(value: int) -> int:
@@ -58,23 +69,17 @@ def l_sub(a: int, b: int) -> int:
 
 
 def mult(a: int, b: int) -> int:
-    """Q15 multiply: ``(a*b) >> 15`` with the spec's -32768*-32768 special case."""
-    if a == MIN_WORD and b == MIN_WORD:
-        return MAX_WORD
+    """Q15 multiply: ``(a*b) >> 15``; -32768*-32768 saturates to 32767."""
     return saturate((a * b) >> 15)
 
 
 def mult_r(a: int, b: int) -> int:
     """Rounded Q15 multiply."""
-    if a == MIN_WORD and b == MIN_WORD:
-        return MAX_WORD
     return saturate((a * b + 16384) >> 15)
 
 
 def l_mult(a: int, b: int) -> int:
-    """32-bit Q31 multiply: ``(a*b) << 1`` (undefined -32768*-32768 saturated)."""
-    if a == MIN_WORD and b == MIN_WORD:
-        return MAX_LONGWORD
+    """32-bit Q31 multiply: ``(a*b) << 1``; -32768*-32768 saturates."""
     return saturate_long((a * b) << 1)
 
 
@@ -158,3 +163,36 @@ def gsm_div(numerator: int, denominator: int) -> int:
             num -= denominator
             result += 1
     return result
+
+
+def correlate(x: Sequence[int], y: Sequence[int]) -> List[int]:
+    """Exact cross-correlation ``c[j] = sum(x[k] * y[j + k])`` of 16-bit words.
+
+    One value per full overlap, ``j = 0 .. len(y) - len(x)``, computed with
+    a single big-integer multiply (Kronecker substitution).  Each word is
+    biased by 2**15 into [0, 2**16) and each sequence is packed as base
+    2**64 digits, ``x`` reversed, so digit ``len(x) - 1 + j`` of the product
+    is ``sum((x[k] + 2**15) * (y[j + k] + 2**15))``.  That digit is a sum of
+    at most ``len(x)`` products below 2**32, so it stays below 2**64 and no
+    digit carries into the next one for any ``len(x) < 2**32``.  Removing
+    the bias leaves ``c[j]`` minus ``2**15 * (sum(x) + window_sum(y, j))``
+    minus ``len(x) * 2**30``; the window sums come from a prefix sum of
+    ``y``.  The digit argument needs every word in [-32768, 32767], so
+    other values are rejected.
+    """
+    n, m = len(x), len(y)
+    if not 0 < n <= m:
+        raise ValueError("correlate() needs 0 < len(x) <= len(y)")
+    if min(min(x), min(y)) < MIN_WORD or max(max(x), max(y)) > MAX_WORD:
+        raise ValueError("correlate() takes 16-bit words only")
+    bias = 1 << 15
+    packed_x = array("Q", [value + bias for value in reversed(x)]).tobytes()
+    packed_y = array("Q", [value + bias for value in y]).tobytes()
+    product = (int.from_bytes(packed_x, sys.byteorder)
+               * int.from_bytes(packed_y, sys.byteorder))
+    digits = array("Q")
+    digits.frombytes(product.to_bytes(8 * (n + m), sys.byteorder))
+    prefix = list(accumulate(y, initial=0))
+    constant = bias * (sum(x) + n * bias)
+    return [digits[n - 1 + j] - bias * (prefix[j + n] - prefix[j]) - constant
+            for j in range(m - n + 1)]

@@ -10,9 +10,10 @@ LTP-history state between frames, as the recommendation requires.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import List, Sequence
 
-from .arith import add
+from .arith import saturate_each
 from .lpc import (
     ShortTermState,
     autocorrelation,
@@ -126,7 +127,7 @@ class GsmEncoder:
             e, predicted = ltp_filter(d_sub, state.dp_history, lag, gain)
             grid, xmaxc, xmc, ep = rpe_encode(e)
             # Reconstructed residual fed back into the LTP history.
-            dpp = [add(ep[k], predicted[k]) for k in range(SUBFRAME_SAMPLES)]
+            dpp = saturate_each(map(add, ep, predicted))
             state.dp_history = (state.dp_history + dpp)[-LTP_MAX_LAG:]
             lags.append(lag)
             gains.append(gain)

@@ -8,9 +8,11 @@ interpolation and the short-term analysis / synthesis lattice filters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from .arith import (
+    MAX_WORD,
     abs_s,
     add,
     asl,
@@ -20,6 +22,7 @@ from .arith import (
     mult_r,
     norm,
     saturate,
+    saturate_each,
     sub,
 )
 from .tables import (
@@ -41,23 +44,11 @@ def autocorrelation(samples: Sequence[int]) -> List[int]:
     """Compute L_ACF[0..8] with the spec's dynamic scaling."""
     if len(samples) != FRAME_SAMPLES:
         raise ValueError("autocorrelation works on one 160-sample frame")
-    s = list(samples)
-    smax = 0
-    for value in s:
-        smax = max(smax, abs_s(value))
-    if smax == 0:
-        scale = 0
-    else:
-        # Dynamic scaling: leave 4 bits of headroom for the 160-term sums.
-        scale = max(0, 4 - norm(smax << 16))
-    scaled = [asr(value, scale) for value in s]
-    acf: List[int] = []
-    for lag in range(LPC_ORDER + 1):
-        total = 0
-        for index in range(lag, FRAME_SAMPLES):
-            total += scaled[index] * scaled[index - lag]
-        acf.append(total << 1)
-    return acf
+    smax = min(MAX_WORD, max(map(abs, samples)))
+    # Dynamic scaling: leave 4 bits of headroom for the 160-term sums.
+    scale = 0 if smax == 0 else max(0, 4 - norm(smax << 16))
+    scaled = [value >> scale for value in samples]
+    return [sum(map(mul, scaled[lag:], scaled)) << 1 for lag in range(LPC_ORDER + 1)]
 
 
 def schur(acf: Sequence[int]) -> List[int]:
@@ -196,24 +187,39 @@ INTERPOLATION_REGIONS: List[Tuple[int, int]] = [(0, 13), (13, 27), (27, 40), (40
 
 def short_term_analysis(state: ShortTermState, larc: Sequence[int],
                         samples: Sequence[int]) -> List[int]:
-    """Short-term analysis filtering of one frame; returns the residual d[]."""
+    """Short-term analysis filtering of one frame; returns the residual d[].
+
+    The filter is an all-zero lattice: stage i maps the forward signal
+    ``d`` and the backward signal ``a`` (both the input at stage 0) to
+
+        d'[n] = add(d[n], mult_r(rp[i], a[n-1]))
+        a'[n] = add(a[n-1], mult_r(rp[i], d[n]))
+
+    where ``a[-1]`` is the stage's memory ``u[i]`` from the previous frame.
+    Stage i + 1 needs only stage i, so the frame runs stage by stage over
+    all 160 samples.  ``rp`` comes from :func:`lar_to_reflection` and lies
+    within +-32767, so ``mult_r`` never saturates here; the adds do.
+    """
     current_larpp = decode_lar(larc)
-    output = [0] * FRAME_SAMPLES
+    reflections = [
+        lar_to_reflection(interpolate_lar(state.previous_larpp, current_larpp, region))
+        for region in range(len(INTERPOLATION_REGIONS))
+    ]
     u = state.analysis_u
-    for region, (start, end) in enumerate(INTERPOLATION_REGIONS):
-        larp = interpolate_lar(state.previous_larpp, current_larpp, region)
-        rp = lar_to_reflection(larp)
-        for position in range(start, end):
-            di = samples[position]
-            sav = di
-            for order in range(LPC_ORDER):
-                temp = add(u[order], mult_r(rp[order], di))
-                di = add(di, mult_r(rp[order], u[order]))
-                u[order] = sav
-                sav = temp
-            output[position] = di
+    d = list(samples)
+    a = d
+    for stage in range(LPC_ORDER):
+        rp: List[int] = []
+        for (start, end), coefficients in zip(INTERPOLATION_REGIONS, reflections):
+            rp += [coefficients[stage]] * (end - start)
+        delayed = [u[stage]] + a[:-1]
+        u[stage] = a[-1]
+        a = saturate_each([back + ((r * forward + 16384) >> 15)
+                           for back, r, forward in zip(delayed, rp, d)])
+        d = saturate_each([forward + ((r * back + 16384) >> 15)
+                           for forward, r, back in zip(d, rp, delayed)])
     state.previous_larpp = current_larpp
-    return output
+    return d
 
 
 def short_term_synthesis(state: ShortTermState, larc: Sequence[int],

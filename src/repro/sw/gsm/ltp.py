@@ -9,9 +9,19 @@ reconstructs ``dpp`` with the dequantised gain.
 
 from __future__ import annotations
 
+from operator import mul, sub
 from typing import List, Sequence, Tuple
 
-from .arith import abs_s, add, asr, mult, mult_r, norm, saturate, sub
+from .arith import (
+    MAX_WORD,
+    add,
+    correlate,
+    mult,
+    mult_r,
+    norm,
+    saturate,
+    saturate_each,
+)
 from .tables import LTP_DLB, LTP_MAX_LAG, LTP_MIN_LAG, LTP_QLB, SUBFRAME_SAMPLES
 
 
@@ -24,6 +34,12 @@ def ltp_parameters(d: Sequence[int], dp_history: Sequence[int]
     ``dp_history[-1]`` being the most recent one.
 
     Returns ``(Nc, bc)``: the lag (40..120) and the 2-bit coded gain.
+
+    All 81 lag correlations come from one :func:`~.arith.correlate` call.
+    The simulated cost of the search is annotated separately, as the ARM7
+    reference loop of 81 x 40 multiply-accumulates per sub-frame
+    (``mapping._encode_cost_cycles``); it models the target core and does
+    not depend on how the host computes the search.
     """
     if len(d) != SUBFRAME_SAMPLES:
         raise ValueError("LTP works on 40-sample sub-frames")
@@ -31,35 +47,27 @@ def ltp_parameters(d: Sequence[int], dp_history: Sequence[int]
         raise ValueError("LTP history must hold at least 120 samples")
 
     # Scale d down to avoid overflow in the correlation (spec: based on dmax).
-    dmax = 0
-    for value in d:
-        dmax = max(dmax, abs_s(value))
-    if dmax == 0:
-        scale = 0
-    else:
-        scale = max(0, 6 - norm(dmax << 16))
-    wt = [asr(value, scale) for value in d]
+    dmax = min(MAX_WORD, max(map(abs, d)))
+    scale = 0 if dmax == 0 else max(0, 6 - norm(dmax << 16))
+    wt = [value >> scale for value in d]
 
-    # Search the lag maximising the cross-correlation.
+    # Search the lag maximising the cross-correlation; ties go to the
+    # shortest lag, and with no positive correlation the lag stays 40.
+    # correlate() yields one value per offset into the history, from lag
+    # 120 down to lag 40, so reverse it to index by lag - 40.
+    history = dp_history[-LTP_MAX_LAG:]
+    by_lag = correlate(wt, history)[::-1]
+    best_correlation = max(0, max(by_lag))
     best_lag = LTP_MIN_LAG
-    best_correlation = 0
-    for lag in range(LTP_MIN_LAG, LTP_MAX_LAG + 1):
-        correlation = 0
-        for k in range(SUBFRAME_SAMPLES):
-            correlation += wt[k] * dp_history[-lag + k]
-        if correlation > best_correlation:
-            best_correlation = correlation
-            best_lag = lag
+    if best_correlation:
+        best_lag += by_lag.index(best_correlation)
 
     # Rescale the winning correlation and compute the power of the history
     # segment, then quantise the gain b = S/R against the DLB table.
-    l_max = best_correlation << 1
-    l_max = l_max >> (6 - scale) if scale <= 6 else l_max
-    l_power = 0
-    for k in range(SUBFRAME_SAMPLES):
-        sample = asr(dp_history[-best_lag + k], 3)
-        l_power += sample * sample
-    l_power <<= 1
+    l_max = (best_correlation << 1) >> (6 - scale)
+    start = LTP_MAX_LAG - best_lag
+    segment = [value >> 3 for value in history[start:start + SUBFRAME_SAMPLES]]
+    l_power = sum(map(mul, segment, segment)) << 1
 
     if l_max <= 0:
         return best_lag, 0
@@ -86,13 +94,12 @@ def ltp_filter(d: Sequence[int], dp_history: Sequence[int], lag: int, bc: int
     the reconstructed residual to update the history.
     """
     bp = LTP_QLB[bc]
-    e: List[int] = []
-    predicted: List[int] = []
-    for k in range(SUBFRAME_SAMPLES):
-        drp = mult_r(bp, dp_history[-lag + k])
-        predicted.append(drp)
-        e.append(sub(d[k], drp))
-    return e, predicted
+    start = len(dp_history) - lag
+    # mult_r(bp, x): bp is a positive Q15 gain, so the product never
+    # saturates; only the subtraction does.
+    predicted = [(bp * value + 16384) >> 15
+                 for value in dp_history[start:start + SUBFRAME_SAMPLES]]
+    return saturate_each(map(sub, d, predicted)), predicted
 
 
 def ltp_synthesis(erp: Sequence[int], dp_history: Sequence[int], lag: int, bc: int

@@ -35,7 +35,9 @@ def _encode_cost_cycles(ctx: TaskContext) -> int:
 
     The estimate follows the published complexity of full-rate GSM encoders
     on ARM7-class cores (a few hundred thousand cycles per frame dominate
-    the LTP lag search: 81 lags x 40 MACs per sub-frame).
+    the LTP lag search: 81 lags x 40 MACs per sub-frame).  The annotation
+    models the target core's reference loops; it does not depend on the
+    algorithm the host uses to compute the same parameters.
     """
     ltp_macs = 81 * 40 * 4
     lpc_macs = 9 * FRAME_SAMPLES

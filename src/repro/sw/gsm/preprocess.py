@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from .arith import add, l_add, mult_r, saturate
+from .arith import MAX_LONGWORD, MAX_WORD, MIN_LONGWORD, MIN_WORD
 from .tables import FRAME_SAMPLES
 
 
@@ -34,27 +34,29 @@ def preprocess_frame(state: PreprocessState, samples: Sequence[int]) -> List[int
     mp = state.mp
     for sample in samples:
         # 4.2.0.1: downscale to 13 bits and shift back up by two.
-        so = (saturate(sample) >> 3) << 2
+        sample = MAX_WORD if sample > MAX_WORD else MIN_WORD if sample < MIN_WORD else sample
+        so = (sample >> 3) << 2
         # 4.2.0.2: offset compensation (high-pass with alpha = 32735/32768).
-        s1 = so - z1
-        z1 = so
-        l_s2 = s1 << 15
+        # |s1 << 15| <= 32764 * 2**15 and lsp lies in 0..32767, so
+        # l_s2 = L_ADD(s1 << 15, MULT_R(lsp, 32736)) cannot saturate; the
+        # L_MULT(msp, 32735) >> 1 term can push l_z2 past 32 bits.
         msp = l_z2 >> 15
         lsp = l_z2 - (msp << 15)
-        temp = mult_r(lsp, 32736)
-        l_s2 = l_add(l_s2, temp)
-        l_z2 = l_add(_msp_term(msp), l_s2)
-        sof = saturate((l_z2 + 16384) >> 15)
-        # 4.2.0.3: pre-emphasis with beta = 28180/32768.
-        s = add(sof, mult_r(mp, -28180))
+        l_s2 = ((so - z1) << 15) + ((lsp * 32736 + 16384) >> 15)
+        z1 = so
+        l_z2 = msp * 32735 + l_s2
+        if l_z2 > MAX_LONGWORD:
+            l_z2 = MAX_LONGWORD
+        elif l_z2 < MIN_LONGWORD:
+            l_z2 = MIN_LONGWORD
+        sof = (l_z2 + 16384) >> 15
+        sof = MAX_WORD if sof > MAX_WORD else MIN_WORD if sof < MIN_WORD else sof
+        # 4.2.0.3: pre-emphasis with beta = 28180/32768 (the rounded product
+        # of a 16-bit mp with -28180 fits 16 bits; the add saturates).
+        s = sof + ((mp * -28180 + 16384) >> 15)
         mp = sof
-        output.append(s)
+        output.append(MAX_WORD if s > MAX_WORD else MIN_WORD if s < MIN_WORD else s)
     state.z1 = z1
     state.l_z2 = l_z2
     state.mp = mp
     return output
-
-
-def _msp_term(msp: int) -> int:
-    """The ``L_MULT(msp, 32735) >> 1`` term of the offset compensation."""
-    return (msp * 32735 * 2) >> 1

@@ -8,10 +8,14 @@ for the encoder's local feedback loop.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import List, Sequence, Tuple
 
-from .arith import abs_s, add, asl, asr, mult, mult_r, saturate, sub
+from .arith import MAX_WORD, add, asl, asr, correlate, saturate_each, sub
 from .tables import RPE_FAC, RPE_H, RPE_NRFAC, RPE_PULSES, SUBFRAME_SAMPLES
+
+#: The FIR sum ``sum(H[i] * x[k + 10 - i])`` is a correlation with reversed H.
+_H_REVERSED = RPE_H[::-1]
 
 
 def weighting_filter(e: Sequence[int]) -> List[int]:
@@ -19,22 +23,11 @@ def weighting_filter(e: Sequence[int]) -> List[int]:
     if len(e) != SUBFRAME_SAMPLES:
         raise ValueError("the weighting filter works on 40-sample sub-frames")
     # The reference implementation zero-pads the signal by 5 samples on both
-    # sides and keeps the central 40 outputs.
+    # sides and keeps the central 40 outputs.  8192 rounds (0.5 in the
+    # chosen format) before the sum is scaled back by >> 14 and saturated.
     padded = [0] * 5 + list(e) + [0] * 5
-    output: List[int] = []
-    for k in range(SUBFRAME_SAMPLES):
-        accumulator = 8192  # rounding constant (0.5 in the chosen format)
-        for i in range(11):
-            accumulator += RPE_H[i] * padded[k + 10 - i]
-        accumulator = saturate_long_shift(accumulator)
-        output.append(accumulator)
-    return output
-
-
-def saturate_long_shift(accumulator: int) -> int:
-    """Scale the 32-bit weighted sum back to a 16-bit sample (>> 14, saturated)."""
-    value = accumulator >> 14
-    return saturate(value)
+    return saturate_each([(8192 + total) >> 14
+                          for total in correlate(_H_REVERSED, padded)])
 
 
 def grid_selection(x: Sequence[int]) -> Tuple[int, List[int]]:
@@ -46,15 +39,12 @@ def grid_selection(x: Sequence[int]) -> Tuple[int, List[int]]:
     best_grid = 0
     best_energy = -1
     for grid in range(4):
-        energy = 0
-        for pulse in range(RPE_PULSES):
-            sample = asr(x[grid + 3 * pulse], 2)
-            energy += sample * sample
+        pulses = [sample >> 2 for sample in x[grid:grid + 3 * RPE_PULSES:3]]
+        energy = sum(map(mul, pulses, pulses))
         if energy > best_energy:
             best_energy = energy
             best_grid = grid
-    xm = [x[best_grid + 3 * pulse] for pulse in range(RPE_PULSES)]
-    return best_grid, xm
+    return best_grid, list(x[best_grid:best_grid + 3 * RPE_PULSES:3])
 
 
 def quantize_xmax(xmax: int) -> Tuple[int, int, int]:
@@ -92,38 +82,38 @@ def decode_xmaxc(xmaxc: int) -> Tuple[int, int]:
 
 
 def apcm_quantize(xm: Sequence[int], exponent: int, mantissa: int) -> List[int]:
-    """Quantise the 13 grid pulses to 3 bits each."""
-    temp1 = 6 - exponent
-    temp2 = RPE_NRFAC[mantissa]
-    xmc: List[int] = []
-    for sample in xm:
-        value = asl(sample, temp1)
-        value = mult(value, temp2)
-        value = asr(value, 12)
-        xmc.append(max(0, min(7, value + 4)))
-    return xmc
+    """Quantise the 13 grid pulses to 3 bits each.
+
+    ``exponent`` and ``mantissa`` come from :func:`decode_xmaxc`, so the
+    shift ``6 - exponent`` lies in 0..10.  ``mult(value, factor)`` cannot
+    saturate for a factor in 0..32767, and its ``>> 15`` merges with the
+    following ``asr(., 12)``.
+    """
+    shift = 6 - exponent
+    factor = RPE_NRFAC[mantissa]
+    quantised = [((value * factor) >> 27) + 4
+                 for value in saturate_each([sample << shift for sample in xm])]
+    return [0 if value < 0 else 7 if value > 7 else value for value in quantised]
 
 
 def apcm_dequantize(xmc: Sequence[int], exponent: int, mantissa: int) -> List[int]:
-    """Inverse APCM: reconstruct the 13 pulses."""
-    temp1 = RPE_FAC[mantissa]
-    temp2 = sub(6, exponent)
-    temp3 = asl(1, sub(temp2, 1))
-    xmp: List[int] = []
-    for coded in xmc:
-        value = (coded << 1) - 7          # back to the symmetric range
-        value = asl(value, 12)
-        value = mult_r(temp1, value)
-        value = add(value, temp3)
-        xmp.append(asr(value, temp2))
-    return xmp
+    """Inverse APCM: reconstruct the 13 pulses.
+
+    ``xmc`` holds 3-bit codes, so ``((code << 1) - 7) << 12`` lies within
+    +-28672 and neither the rounded Q15 multiply nor the rounding add
+    saturates.
+    """
+    factor = RPE_FAC[mantissa]
+    shift = sub(6, exponent)
+    rounding = asl(1, sub(shift, 1))
+    return [((((factor * (((coded << 1) - 7) << 12)) + 16384) >> 15) + rounding) >> shift
+            for coded in xmc]
 
 
 def grid_position(mc: int, xmp: Sequence[int]) -> List[int]:
     """Re-expand 13 pulses onto the 40-sample grid ``mc``."""
     ep = [0] * SUBFRAME_SAMPLES
-    for pulse, value in enumerate(xmp):
-        ep[mc + 3 * pulse] = value
+    ep[mc:mc + 3 * RPE_PULSES:3] = xmp
     return ep
 
 
@@ -135,9 +125,7 @@ def rpe_encode(e: Sequence[int]) -> Tuple[int, int, List[int], List[int]]:
     """
     weighted = weighting_filter(e)
     mc, xm = grid_selection(weighted)
-    xmax = 0
-    for sample in xm:
-        xmax = max(xmax, abs_s(sample))
+    xmax = min(MAX_WORD, max(map(abs, xm)))
     xmaxc, exponent, mantissa = quantize_xmax(xmax)
     xmc = apcm_quantize(xm, exponent, mantissa)
     xmp = apcm_dequantize(xmc, exponent, mantissa)

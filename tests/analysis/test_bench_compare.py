@@ -1,8 +1,13 @@
 """Tests of the BENCH_kernel.json diff tool (repro.analysis.bench_compare)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.analysis.bench_compare import (
     compare_bench_entries,
@@ -109,3 +114,19 @@ class TestCli:
         old = write_bench(tmp_path / "old.json", {"e/a": entry(100.0)})
         new = write_bench(tmp_path / "new.json", {"e/a": entry(99.0)})
         assert main([old, new, "--fail-threshold", "0.5"]) == 0
+
+
+def test_module_entry_point_runs_without_runpy_warning(tmp_path):
+    """``python -m`` must not find the module pre-imported by its package."""
+    old = write_bench(tmp_path / "old.json", {"e/a": entry(100.0)})
+    new = write_bench(tmp_path / "new.json", {"e/a": entry(99.0)})
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.analysis.bench_compare", old, new, "--fail-threshold", "0.9"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert "RuntimeWarning" not in result.stderr
+    assert "e/a" in result.stdout

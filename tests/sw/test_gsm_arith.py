@@ -74,6 +74,27 @@ class TestMultiplication:
         assert MIN_LONGWORD <= l_mult(a, b) <= MAX_LONGWORD
 
 
+class TestMinWordOperands:
+    """-32768 * -32768 is the only product that leaves the Q15/Q31 range."""
+
+    def test_min_word_squared_saturates(self):
+        assert mult(MIN_WORD, MIN_WORD) == MAX_WORD
+        assert mult_r(MIN_WORD, MIN_WORD) == MAX_WORD
+        assert l_mult(MIN_WORD, MIN_WORD) == MAX_LONGWORD
+
+    def test_min_word_with_other_operands_is_exact(self):
+        assert mult(MIN_WORD, MAX_WORD) == -32767
+        assert mult_r(MIN_WORD, MAX_WORD) == -32767
+        assert l_mult(MIN_WORD, MAX_WORD) == -2147418112
+        assert mult(MIN_WORD, 1) == -1
+        assert mult_r(MIN_WORD, 1) == -1
+        assert l_mult(MIN_WORD, 1) == -65536
+        assert mult(MIN_WORD, -1) == 1
+        assert mult_r(MIN_WORD, -1) == 1
+        assert l_mult(MIN_WORD, -1) == 65536
+        assert mult(MIN_WORD, 0) == mult_r(MIN_WORD, 0) == l_mult(MIN_WORD, 0) == 0
+
+
 class TestAbsAndShifts:
     def test_abs_s(self):
         assert abs_s(-5) == 5
